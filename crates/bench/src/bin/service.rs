@@ -31,9 +31,12 @@
 //! 3. **Profiled rerun** — the same multi-shard Zipf stream resubmitted
 //!    with `LocalizeOptions::with_profiling()` on every request. Its merged
 //!    per-stage histograms (`ShardedService::stats_report`) become the
-//!    JSON's `stage_breakdown` section, and its wall-clock delta against
-//!    stage 2 becomes `telemetry_overhead_pct` — the measured cost of
-//!    turning profiling on.
+//!    JSON's `stage_breakdown` section. Profiled requests bypass the answer
+//!    memo, so every target is a full solve; the overhead reference is
+//!    therefore an unprofiled rerun of the same stream with the memo
+//!    disabled (stage 2's run is mostly memo hits, a different path). The
+//!    wall-clock delta between the two becomes `telemetry_overhead_pct` —
+//!    the measured cost of turning profiling on.
 //!
 //! The stream is submitted through a sliding window of in-flight requests,
 //! so the client applies backpressure the way a real frontend does instead
@@ -49,8 +52,8 @@ use octant_bench::{json_path_from_args, service_campaign, BenchSummary, StageRow
 use octant_netsim::topology::NodeId;
 use octant_netsim::{MeasurementDataset, ObservationProvider};
 use octant_service::{
-    GeolocationService, LocalizeOptions, RequestHandle, RouterCache, RouterCacheConfig,
-    ServiceConfig, ShardConfig,
+    AnswerCacheConfig, GeolocationService, LocalizeOptions, RequestHandle, RouterCache,
+    RouterCacheConfig, ServiceConfig, ShardConfig,
 };
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -257,6 +260,7 @@ fn main() {
         1,
         stream_len,
         42,
+        AnswerCacheConfig::default(),
         false,
     );
     let shards = 4;
@@ -267,6 +271,7 @@ fn main() {
         shards,
         stream_len,
         42,
+        AnswerCacheConfig::default(),
         false,
     );
     for (label, r) in [("1 shard ", &one), ("4 shards", &multi)] {
@@ -291,6 +296,20 @@ fn main() {
     );
 
     // ---- Stage 3: profiled rerun (stage breakdown + telemetry overhead) ----
+    // Both sides run with the memo off: profiled requests bypass it, so an
+    // unprofiled reference that hits it would compare solves against
+    // replays.
+    let memo_off = AnswerCacheConfig::default().with_enabled(false);
+    let unprofiled = run_zipf_stream(
+        &provider,
+        &campaign.landmarks,
+        &campaign.targets,
+        shards,
+        stream_len,
+        42,
+        memo_off,
+        false,
+    );
     let profiled = run_zipf_stream(
         &provider,
         &campaign.landmarks,
@@ -298,6 +317,7 @@ fn main() {
         shards,
         stream_len,
         42,
+        memo_off,
         true,
     );
     assert_eq!(
@@ -305,15 +325,19 @@ fn main() {
         stream_len,
         "every profiled target must resolve"
     );
-    let overhead_pct = (profiled.elapsed.as_secs_f64() - multi.elapsed.as_secs_f64())
-        / multi.elapsed.as_secs_f64()
+    let overhead_pct = (profiled.elapsed.as_secs_f64() - unprofiled.elapsed.as_secs_f64())
+        / unprofiled.elapsed.as_secs_f64()
         * 100.0;
     assert!(
         overhead_pct.is_finite(),
         "telemetry overhead must be measurable"
     );
     println!(
-        "# profiled rerun             : {:>8.2?}  ({overhead_pct:+.1}% vs unprofiled)",
+        "# memo-off rerun, unprofiled : {:>8.2?}",
+        unprofiled.elapsed
+    );
+    println!(
+        "# memo-off rerun, profiled   : {:>8.2?}  ({overhead_pct:+.1}% vs unprofiled)",
         profiled.elapsed
     );
     println!("{}", profiled.report);
@@ -408,9 +432,9 @@ fn quantiles(shifts: &[f64]) -> (f64, f64, f64) {
 /// fresh service with `shards` data-plane shards and a generous (but
 /// bounded) per-shard queue, using a sliding in-flight window for client
 /// backpressure. The solve configuration is the cheap minimal pipeline —
-/// this stage measures the serving tier, not the solver. With `profiled`,
-/// every request opts into per-target stage capture
-/// (`LocalizeOptions::with_profiling()`).
+/// this stage measures the serving tier, not the solver. `answers`
+/// configures the service's answer memo. With `profiled`, every request
+/// opts into per-target stage capture (`LocalizeOptions::with_profiling()`).
 #[allow(clippy::too_many_arguments)]
 fn run_zipf_stream(
     provider: &std::sync::Arc<MeasurementDataset>,
@@ -419,11 +443,13 @@ fn run_zipf_stream(
     shards: usize,
     stream_len: u64,
     seed: u64,
+    answers: AnswerCacheConfig,
     profiled: bool,
 ) -> StreamResult {
     let service = GeolocationService::start(
         ServiceConfig::default()
             .with_octant(OctantConfig::minimal())
+            .with_answers(answers)
             .with_shard(
                 ShardConfig::default()
                     .with_count(shards)

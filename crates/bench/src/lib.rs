@@ -3,8 +3,9 @@
 //! The binaries in `src/bin/` regenerate the paper's figures; this library
 //! holds the pieces they share: building the PlanetLab-like measurement
 //! campaign, running a set of geolocalization techniques over it, and
-//! printing the comparison tables. `EXPERIMENTS.md` at the workspace root
-//! records the numbers these harnesses produce next to the paper's.
+//! printing the comparison tables. Each figure binary prints its numbers
+//! next to the paper's (e.g. `cargo run --release -p octant-bench --bin
+//! figure3`).
 //!
 //! ## Machine-readable bench summaries (`BENCH_*.json`)
 //!
@@ -42,7 +43,8 @@
 //!     {"name": "solve", "count": 510, "total_ms": 890.0, ...}
 //!   ],
 //!   "telemetry_overhead_pct": 1.4, // (optional) profiled-rerun wall-clock
-//!                                  // delta vs the measured run, in percent
+//!                                  // delta vs an unprofiled rerun of the
+//!                                  // same path, in percent
 //!   "recursive_ms_per_target": 21.4,          // Recursive serving stage:
 //!   "recursive_baseline_ms_per_target": 67.0, // default-config service vs
 //!   "recursive_speedup": 3.1,                 // uncached inline batch
@@ -503,8 +505,9 @@ pub struct BenchSummary {
     /// Per-stage wall-time rows of the profiled rerun (omitted when empty).
     pub stage_breakdown: Vec<StageRow>,
     /// Wall-clock cost of profiling: the profiled rerun's elapsed time vs
-    /// the measured run, in percent (negative means the rerun was faster —
-    /// i.e. the overhead is below run-to-run noise).
+    /// an unprofiled rerun of the same path, in percent (negative means
+    /// the profiled rerun was faster — i.e. the overhead is below
+    /// run-to-run noise).
     pub telemetry_overhead_pct: Option<f64>,
     /// Extra named metrics, emitted verbatim in insertion order (the
     /// `service` bench's `recursive_*_ms_per_target` and

@@ -37,6 +37,16 @@
 //! model, same evidence means same pipeline, and the solve is a pure
 //! function of both.
 //!
+//! ## Where the lookup happens and how it is counted
+//!
+//! The service looks the memo up at **admission**, inside
+//! `ShardedService::submit`, before a target is queued: each cacheable
+//! target costs exactly one [`AnswerCache::lookup`], so `hits + misses`
+//! equals the cacheable targets submitted. A hit is served on the spot;
+//! a miss is queued, solved in a micro-batch, and [`AnswerCache::insert`]ed
+//! under the epoch it was solved against. The drain path never looks the
+//! memo up again.
+//!
 //! Counters are registered under `answer_cache.*` in
 //! [`MetricsRegistry::global`].
 

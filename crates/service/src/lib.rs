@@ -30,8 +30,10 @@
 //!   its own request queue, adaptive micro-batching policy, and worker
 //!   pool, with per-request **deadlines**, bounded-queue **admission
 //!   control / load shedding**, and per-shard **latency histograms**
-//!   ([`histogram`], [`stats`]). [`GeolocationService`] is the
-//!   shards-of-one front door, bit-identical to the pre-sharding service.
+//!   ([`stats`]). Repeat lookups are answered from the [`answer_cache`]
+//!   memo inside `submit`, before any queueing. [`GeolocationService`] is
+//!   the shards-of-one front door, bit-identical to the pre-sharding
+//!   service.
 //!
 //! The seam into `octant-core` is [`octant::RouterEstimateSource`]: the
 //! framework's recursive path consults the source instead of constructing a
@@ -81,7 +83,6 @@
 
 pub mod answer_cache;
 pub mod cache;
-pub mod histogram;
 pub mod registry;
 pub mod service;
 pub mod shard;

@@ -27,7 +27,8 @@
 //! Submission never blocks on a full queue. Instead each target's slot
 //! resolves to a typed [`ServeOutcome`]:
 //!
-//! * [`ServeOutcome::Served`] — solved and delivered;
+//! * [`ServeOutcome::Served`] — solved (or answered from the memo) and
+//!   delivered;
 //! * [`ServeOutcome::Shed`] — refused at **admission** because the shard's
 //!   bounded queue ([`ShardConfig::queue_capacity`]) was full;
 //! * [`ServeOutcome::DeadlineExceeded`] — the request's
@@ -39,9 +40,26 @@
 //! [`RequestHandle::wait`] keeps the legacy always-served signature for
 //! callers that configure neither deadlines nor bounded queues.
 //!
+//! ## Answer memo at admission
+//!
+//! `submit` consults the [`AnswerCache`] before anything is queued. Each
+//! cacheable target (the memo is enabled and the request is not profiled)
+//! is looked up exactly once, keyed by one epoch snapshot read per request,
+//! the target's /24 ([`PrefixTable::target_key`]) and the request's
+//! [`EvidenceKey`]; that lookup is the one hit or miss
+//! [`AnswerCacheStats`] counts for the target. A hit resolves its slot to
+//! [`ServeOutcome::Served`] before `submit` returns: it never enters the
+//! shard queue, never wakes a worker, never waits for batch-mates, does
+//! not count against [`ShardConfig::queue_capacity`] (a full shard still
+//! serves it), and cannot miss its deadline. Hits count in
+//! [`ServiceCounters::targets_served`] and
+//! [`ServiceCounters::memo_hits`], and their latency is recorded in the
+//! `memo_hit` stage rather than `queue_wait`.
+//!
 //! ## Micro-batching policy (per shard)
 //!
-//! A worker that finds its shard's queue non-empty drains
+//! Only memo misses (and uncacheable targets) queue. A worker that finds
+//! its shard's queue non-empty drains
 //! `min(queue_len, max_batch)` targets — under load, batches grow to the
 //! ceiling on their own. When fewer than `min_batch` targets are pending,
 //! the worker waits up to `max_wait` (measured from the oldest pending
@@ -266,7 +284,7 @@ pub enum ShedReason {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum ServeOutcome {
-    /// The target was solved and delivered.
+    /// The target was solved (or answered from the memo) and delivered.
     Served(ServedEstimate),
     /// The target was shed at admission and never queued.
     Shed {
@@ -404,9 +422,11 @@ struct QueueState {
 struct ShardLocal {
     counters: ServiceCounters,
     latency: LatencyHistogram,
-    /// Per-stage wall-time histograms, in first-observed order: `queue_wait`
-    /// for every served target, `solve` at micro-batch granularity for
-    /// unprofiled groups, and every captured stage of profiled targets.
+    /// Per-stage wall-time histograms, in first-observed order: `memo_hit`
+    /// for every target answered from the memo at admission, `queue_wait`
+    /// for every queued target that was served, `solve` at micro-batch
+    /// granularity for unprofiled groups, and every captured stage of
+    /// profiled targets.
     stages: Vec<(&'static str, LatencyHistogram)>,
 }
 
@@ -432,6 +452,7 @@ struct ShardMetrics {
     queue_depth: Gauge,
     batches: Counter,
     targets_served: Counter,
+    memo_hits: Counter,
     failed_batches: Counter,
     shed_queue_full: Counter,
     deadline_expired: Counter,
@@ -444,6 +465,7 @@ impl ShardMetrics {
             queue_depth: registry.gauge(&format!("service.shard{shard_idx}.queue_depth")),
             batches: registry.counter("service.batches"),
             targets_served: registry.counter("service.targets_served"),
+            memo_hits: registry.counter("service.memo_hits"),
             failed_batches: registry.counter("service.failed_batches"),
             shed_queue_full: registry.counter("service.shed_queue_full"),
             deadline_expired: registry.counter("service.deadline_expired"),
@@ -488,6 +510,73 @@ struct ServiceInner<P> {
 }
 
 impl<P: ObservationProvider + Sync> ServiceInner<P> {
+    /// The evidence part of the answer keys for a request with `options`,
+    /// or `None` when the memo does not apply: it is disabled, or the
+    /// request is profiled (profiled estimates carry request-specific
+    /// wall-time profiles).
+    fn memo_evidence(&self, options: Option<&LocalizeOptions>) -> Option<Option<EvidenceKey>> {
+        let profiled = options.is_some_and(|o| o.profiling);
+        (self.answers.enabled() && !profiled).then(|| options.map(EvidenceKey::from_options))
+    }
+
+    /// The admission half of the answer memo: looks each of `slots` up
+    /// once (one counted hit or miss) under `epoch` and `evidence`,
+    /// completes the hits with their memoized estimates, and returns the
+    /// misses, still in submission order, for queueing.
+    fn serve_memo_hits(
+        &self,
+        shard: &Shard,
+        request: &RequestState,
+        slots: Vec<(usize, NodeId)>,
+        epoch: u64,
+        evidence: &Option<EvidenceKey>,
+        admitted: Instant,
+    ) -> Vec<(usize, NodeId)> {
+        let mut hits = Vec::new();
+        let mut misses = Vec::with_capacity(slots.len());
+        for (slot, target) in slots {
+            let key = AnswerKey {
+                epoch,
+                target: self.prefixes.target_key(target),
+                evidence: evidence.clone(),
+            };
+            match self.answers.lookup(&key) {
+                Some(estimate) => hits.push((
+                    slot,
+                    ServedEstimate {
+                        target,
+                        epoch,
+                        estimate: (*estimate).clone(),
+                    },
+                )),
+                None => misses.push((slot, target)),
+            }
+        }
+        if hits.is_empty() {
+            return misses;
+        }
+        // As on the drain path, stats are recorded before any completion
+        // is delivered, so a caller woken by its last completion observes
+        // its own targets.
+        let n = hits.len() as u64;
+        {
+            let mut local = shard.local.lock();
+            local.counters.targets_served += n;
+            local.counters.memo_hits += n;
+            let wall = admitted.elapsed();
+            for _ in 0..n {
+                local.latency.record(wall);
+                local.record_stage("memo_hit", wall);
+            }
+        }
+        shard.metrics.targets_served.add(n);
+        shard.metrics.memo_hits.add(n);
+        for (slot, served) in hits {
+            request.complete(slot, ServeOutcome::Served(served));
+        }
+        misses
+    }
+
     fn serve_batch(&self, shard_idx: usize, batch: Vec<PendingTarget>) {
         let shard = &self.shards[shard_idx];
         let epoch_model = self.registry.current();
@@ -542,56 +631,11 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                 .complete(pending.slot, ServeOutcome::DeadlineExceeded);
         }
 
-        for (options, mut members) in groups {
+        for (options, members) in groups {
             let profiled = options.as_deref().is_some_and(|o| o.profiling);
-            // ---- Answer memo (front cache) --------------------------------
-            // Keyed (epoch, /24 prefix, evidence): a hit replays the exact
-            // estimate this model+pipeline already produced for the prefix,
-            // skipping the solve entirely. Profiled requests bypass (their
-            // estimates carry request-specific wall-time profiles). Hits
-            // still count as served and record latency/queue_wait — they are
-            // served requests, just cheap ones.
-            let cacheable = self.answers.enabled() && !profiled;
-            let evidence = if cacheable {
-                options.as_deref().map(EvidenceKey::from_options)
-            } else {
-                None
-            };
-            if cacheable {
-                let mut misses = Vec::with_capacity(members.len());
-                for pending in members {
-                    let key = AnswerKey {
-                        epoch: epoch_model.epoch,
-                        target: self.prefixes.target_key(pending.target),
-                        evidence: evidence.clone(),
-                    };
-                    let Some(estimate) = self.answers.lookup(&key) else {
-                        misses.push(pending);
-                        continue;
-                    };
-                    {
-                        let mut local = shard.local.lock();
-                        local.latency.record(pending.enqueued_at.elapsed());
-                        local.record_stage(
-                            "queue_wait",
-                            now.saturating_duration_since(pending.enqueued_at),
-                        );
-                    }
-                    pending.request.complete(
-                        pending.slot,
-                        ServeOutcome::Served(ServedEstimate {
-                            target: pending.target,
-                            epoch: epoch_model.epoch,
-                            estimate: (*estimate).clone(),
-                        }),
-                    );
-                }
-                members = misses;
-                if members.is_empty() {
-                    continue;
-                }
-            }
-
+            // Every queued target already missed the answer memo at
+            // admission; its solve is memoized below for later requests.
+            let memo = self.memo_evidence(options.as_deref());
             let targets: Vec<NodeId> = members.iter().map(|p| p.target).collect();
             let solve_started = Instant::now();
             // A panicking solve must neither kill the worker (the pool
@@ -639,7 +683,7 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                     // Freshly solved answers enter the memo; a panicked
                     // group's unknown placeholders never do (the next
                     // request for the prefix deserves a real attempt).
-                    if cacheable {
+                    if let Some(evidence) = &memo {
                         for (pending, estimate) in members.iter().zip(&estimates) {
                             self.answers.insert(
                                 AnswerKey {
@@ -824,9 +868,10 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
         ShardedService { inner, workers }
     }
 
-    /// Enqueues `targets` for localization and returns a handle to wait on.
-    /// Targets from concurrent requests coalesce into shared micro-batches
-    /// on their shard.
+    /// Submits `targets` for localization and returns a handle to wait on.
+    /// Targets answered from the memo are resolved before this returns;
+    /// the rest are queued, and targets from concurrent requests coalesce
+    /// into shared micro-batches on their shard.
     pub fn submit(&self, targets: &[NodeId]) -> RequestHandle {
         self.enqueue(targets, None, None)
     }
@@ -883,9 +928,24 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
         // `admitted + budget` ⇒ drain − admitted < budget).
         let admitted = Instant::now();
         let deadline = deadline.map(|d| admitted + d);
+        // The answer memo is consulted here, once per cacheable target,
+        // against one epoch snapshot for the whole request.
+        let memo = self
+            .inner
+            .memo_evidence(options.as_deref())
+            .map(|evidence| (self.inner.registry.epoch(), evidence));
         let cap = self.inner.config.shard.queue_capacity;
         for (shard_idx, slots) in by_shard {
             let shard = &self.inner.shards[shard_idx];
+            let slots = match &memo {
+                Some((epoch, evidence)) => self
+                    .inner
+                    .serve_memo_hits(shard, &state, slots, *epoch, evidence, admitted),
+                None => slots,
+            };
+            if slots.is_empty() {
+                continue;
+            }
             let mut shed: Vec<usize> = Vec::new();
             {
                 let mut queue = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -910,7 +970,7 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
                 }
                 shard.metrics.queue_depth.set(queue.pending.len() as i64);
             }
-            self.inner.shards[shard_idx].queue_cv.notify_all();
+            shard.queue_cv.notify_all();
             if !shed.is_empty() {
                 shard.local.lock().counters.shed_queue_full += shed.len() as u64;
                 shard.metrics.shed_queue_full.add(shed.len() as u64);
@@ -1598,6 +1658,192 @@ mod tests {
         // The single worker survived and keeps serving healthy targets.
         let healthy = service.localize_blocking(&targets[1..2]);
         assert!(healthy[0].estimate.point.is_some());
+        service.shutdown();
+    }
+
+    /// Bit identity of two estimates: `Debug` prints every float with
+    /// round-trip precision.
+    fn same_bits(a: &LocationEstimate, b: &LocationEstimate) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    fn stage_count(service: &ShardedService<Arc<MeasurementDataset>>, name: &str) -> u64 {
+        service
+            .stats_report()
+            .stage_breakdown
+            .iter()
+            .find(|b| b.name == name)
+            .map_or(0, |b| b.count)
+    }
+
+    #[test]
+    fn memo_hits_resolve_inside_submit_with_the_same_answer() {
+        let ds = dataset(10, 37).into_shared();
+        let hosts = ds.host_ids();
+        let (landmarks, targets) = hosts.split_at(7);
+        let service = ShardedService::start(ServiceConfig::default(), ds, landmarks);
+        let cold = service.localize_blocking(&targets[..2]);
+        let batches = service.stats().counters.batches;
+
+        let handle = service.submit(&targets[..2]);
+        assert!(handle.is_done(), "memo hits resolve before submit returns");
+        let warm = handle.wait();
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.target, w.target);
+            assert_eq!(c.epoch, w.epoch);
+            assert!(same_bits(&c.estimate, &w.estimate), "hits replay the solve");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.counters.targets_served, 4);
+        assert_eq!(stats.counters.memo_hits, 2);
+        assert_eq!(stats.counters.batches, batches, "hits form no batch");
+        assert_eq!(stats.latency.count, 4, "hits record a latency");
+        assert_eq!(stage_count(&service, "memo_hit"), 2);
+        assert_eq!(stage_count(&service, "queue_wait"), 2, "only solves queued");
+        service.shutdown();
+    }
+
+    #[test]
+    fn memo_hits_are_served_while_the_bounded_queue_is_full() {
+        let ds = dataset(10, 41).into_shared();
+        let hosts = ds.host_ids();
+        let (landmarks, targets) = hosts.split_at(7);
+        // Workers wait for a 1000-target batch for up to 10 s, so the one
+        // queue slot stays taken until shutdown drains it.
+        let service = ShardedService::start(
+            ServiceConfig::default()
+                .with_min_batch(1000)
+                .with_max_wait(Duration::from_secs(10))
+                .with_shard(ShardConfig::default().with_queue_capacity(1)),
+            ds.clone(),
+            landmarks,
+        );
+        // Seed the memo with the answer a solve would store for targets[0].
+        let memoized = Arc::new(Octant::new(OctantConfig::default()).localize(
+            ds.as_ref(),
+            landmarks,
+            targets[0],
+        ));
+        service.answer_cache().insert(
+            AnswerKey {
+                epoch: 1,
+                target: PrefixTable::build(ds.as_ref()).target_key(targets[0]),
+                evidence: None,
+            },
+            memoized.clone(),
+        );
+        let parked = service.submit(&targets[1..2]);
+        let handle = service.submit(&[targets[2], targets[0]]);
+        assert!(handle.is_done(), "the overflow is shed, the hit served");
+        assert_eq!(service.stats().queue_depth_total(), 1, "the queue is full");
+        let outcomes = handle.wait_outcomes();
+        assert!(matches!(
+            outcomes[0],
+            ServeOutcome::Shed {
+                reason: ShedReason::QueueFull
+            }
+        ));
+        let hit = outcomes[1]
+            .served()
+            .expect("a hit is served past a full queue");
+        assert!(same_bits(&hit.estimate, &memoized));
+        let stats = service.stats();
+        assert_eq!(stats.counters.shed_queue_full, 1);
+        assert_eq!(stats.counters.memo_hits, 1);
+        service.shutdown();
+        assert!(parked.wait_outcomes()[0].is_served());
+    }
+
+    #[test]
+    fn a_zero_deadline_expires_misses_but_not_memo_hits() {
+        let ds = dataset(10, 43).into_shared();
+        let hosts = ds.host_ids();
+        let (landmarks, targets) = hosts.split_at(7);
+        let service = ShardedService::start(ServiceConfig::default(), ds, landmarks);
+        service.localize_blocking(&targets[..1]);
+        let outcomes = service.localize_blocking_with_options(
+            &targets[..2],
+            LocalizeOptions::default().with_deadline(Duration::ZERO),
+        );
+        assert!(
+            outcomes[0].is_served(),
+            "a hit resolves before its deadline"
+        );
+        assert!(
+            matches!(outcomes[1], ServeOutcome::DeadlineExceeded),
+            "a miss still expires in the queue, got {:?}",
+            outcomes[1]
+        );
+        let stats = service.stats();
+        assert_eq!(stats.counters.deadline_expired, 1);
+        assert_eq!(stats.counters.memo_hits, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn one_counted_lookup_per_cacheable_target_and_none_for_profiled() {
+        let ds = dataset(10, 47).into_shared();
+        let hosts = ds.host_ids();
+        let (landmarks, targets) = hosts.split_at(7);
+        assert_eq!(targets.len(), 3);
+        let service = ShardedService::start(ServiceConfig::default(), ds, landmarks);
+        let ablated = LocalizeOptions::default().without_source(SourceId::Hint);
+        let mut cacheable = 0u64;
+        let mut submit = |options: LocalizeOptions, picks: &[NodeId], counted: bool| {
+            cacheable += if counted { picks.len() as u64 } else { 0 };
+            service.localize_blocking_with_options(picks, options)
+        };
+        submit(LocalizeOptions::default(), &targets[..2], true);
+        submit(LocalizeOptions::default(), targets, true);
+        submit(ablated.clone(), &targets[..1], true);
+        submit(
+            ablated.with_deadline(Duration::from_secs(60)),
+            targets,
+            true,
+        );
+        let before = service.answer_cache_stats();
+        let profiled = submit(LocalizeOptions::default().with_profiling(), targets, false);
+        let after = service.answer_cache_stats();
+        assert_eq!(after.hits, before.hits, "profiled requests never hit");
+        assert_eq!(
+            after.misses, before.misses,
+            "profiled requests never look up"
+        );
+        assert!(profiled
+            .iter()
+            .all(|o| o.served().is_some_and(|s| s.estimate.profile.is_some())));
+
+        let answers = service.answer_cache_stats();
+        assert_eq!(answers.hits + answers.misses, cacheable);
+        // Repeats of the two default-pipeline targets, then of the one
+        // ablated target (the deadline does not change the evidence key).
+        assert_eq!(answers.hits, 2 + 1);
+        assert_eq!(service.stats().counters.memo_hits, answers.hits);
+        service.shutdown();
+    }
+
+    #[test]
+    fn no_target_is_answered_from_a_previous_epoch_after_refresh() {
+        let ds = dataset(10, 53).into_shared();
+        let hosts = ds.host_ids();
+        let (landmarks, targets) = hosts.split_at(7);
+        // Retain two epochs so epoch-1 answers stay resident after the bump.
+        let service = ShardedService::start(
+            ServiceConfig::default().with_answers(AnswerCacheConfig::default().with_keep_epochs(2)),
+            ds,
+            landmarks,
+        );
+        service.localize_blocking(targets);
+        assert_eq!(service.refresh_model(landmarks), 2);
+        assert_eq!(service.answer_cache().entries_for_epoch(1), targets.len());
+        let hits = service.answer_cache_stats().hits;
+        let served = service.localize_blocking(targets);
+        assert!(served.iter().all(|s| s.epoch == 2));
+        assert_eq!(service.answer_cache_stats().hits, hits, "no stale hit");
+        // The new epoch's answers are memoized in turn.
+        let again = service.submit(targets);
+        assert!(again.is_done());
+        assert!(again.wait().iter().all(|s| s.epoch == 2));
         service.shutdown();
     }
 }

@@ -20,12 +20,18 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct ServiceCounters {
-    /// Micro-batches solved.
+    /// Micro-batches drained from the queue (memo hits never form one).
     pub batches: u64,
-    /// Targets solved and delivered as [`ServeOutcome::Served`].
+    /// Targets delivered as [`ServeOutcome::Served`]: solved, or answered
+    /// from the memo at admission (those are also counted in
+    /// [`ServiceCounters::memo_hits`]).
     ///
     /// [`ServeOutcome::Served`]: crate::ServeOutcome::Served
     pub targets_served: u64,
+    /// Served targets answered from the answer memo at admission, without
+    /// entering the queue. `targets_served - memo_hits` targets went through
+    /// micro-batches.
+    pub memo_hits: u64,
     /// Largest micro-batch drained (a high-water mark: monotonic, but maxes
     /// rather than sums across shards).
     pub largest_batch: usize,
@@ -50,6 +56,7 @@ impl ServiceCounters {
     pub fn absorb(&mut self, other: &ServiceCounters) {
         self.batches += other.batches;
         self.targets_served += other.targets_served;
+        self.memo_hits += other.memo_hits;
         self.largest_batch = self.largest_batch.max(other.largest_batch);
         self.failed_batches += other.failed_batches;
         self.shed_queue_full += other.shed_queue_full;
@@ -130,7 +137,8 @@ impl ServiceStats {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct StageBreakdown {
-    /// The stage name (`queue_wait`, `solve`, `source.latency`, …).
+    /// The stage name (`memo_hit`, `queue_wait`, `solve`, `source.latency`,
+    /// …).
     pub name: &'static str,
     /// Number of observations folded in.
     pub count: u64,
@@ -151,7 +159,9 @@ pub struct StatsReport {
     /// Counters, queue gauges, latency quantiles, cache counters.
     pub stats: ServiceStats,
     /// Per-stage wall-time rows, merged over every shard, in first-observed
-    /// order (`queue_wait` leads when present).
+    /// order. `memo_hit` (admission-time memo answers) and `queue_wait`
+    /// (queued targets) are separate populations; a row appears once its
+    /// first observation does.
     pub stage_breakdown: Vec<StageBreakdown>,
     /// A point-in-time snapshot of
     /// [`octant_telemetry::MetricsRegistry::global`].
@@ -166,10 +176,12 @@ impl StatsReport {
         let mut out = String::from("{");
         out.push_str(&format!("\"epoch\": {}", s.epoch));
         out.push_str(&format!(
-            ", \"counters\": {{\"batches\": {}, \"targets_served\": {}, \"largest_batch\": {}, \
-             \"failed_batches\": {}, \"shed_queue_full\": {}, \"deadline_expired\": {}}}",
+            ", \"counters\": {{\"batches\": {}, \"targets_served\": {}, \"memo_hits\": {}, \
+             \"largest_batch\": {}, \"failed_batches\": {}, \"shed_queue_full\": {}, \
+             \"deadline_expired\": {}}}",
             s.counters.batches,
             s.counters.targets_served,
+            s.counters.memo_hits,
             s.counters.largest_batch,
             s.counters.failed_batches,
             s.counters.shed_queue_full,
@@ -231,10 +243,11 @@ impl std::fmt::Display for StatsReport {
         let s = &self.stats;
         writeln!(
             f,
-            "epoch {}  batches {}  served {}  shed {}  p50 {:.2} ms  p99 {:.2} ms",
+            "epoch {}  batches {}  served {} ({} memo hits)  shed {}  p50 {:.2} ms  p99 {:.2} ms",
             s.epoch,
             s.counters.batches,
             s.counters.targets_served,
+            s.counters.memo_hits,
             s.counters.shed(),
             s.latency.p50.as_secs_f64() * 1e3,
             s.latency.p99.as_secs_f64() * 1e3,
@@ -291,6 +304,7 @@ mod tests {
         let a = ServiceCounters {
             batches: 3,
             targets_served: 10,
+            memo_hits: 4,
             largest_batch: 8,
             failed_batches: 1,
             shed_queue_full: 2,
@@ -299,6 +313,7 @@ mod tests {
         let b = ServiceCounters {
             batches: 2,
             targets_served: 5,
+            memo_hits: 1,
             largest_batch: 12,
             failed_batches: 0,
             shed_queue_full: 0,
@@ -308,6 +323,7 @@ mod tests {
         agg.absorb(&b);
         assert_eq!(agg.batches, 5);
         assert_eq!(agg.targets_served, 15);
+        assert_eq!(agg.memo_hits, 5);
         assert_eq!(agg.largest_batch, 12, "high-water mark maxes, not sums");
         assert_eq!(agg.failed_batches, 1);
         assert_eq!(agg.shed(), 7);

@@ -15,8 +15,10 @@
 //! 4. a **post-refresh wave** — the cache re-fills for the new epoch and
 //!    old-epoch entries are retired;
 //! 5. an **SLO wave** — requests carrying deadlines resolve to typed
-//!    outcomes: a generous deadline is served, an already-expired one is
-//!    shed at drain time without spending any solver work;
+//!    outcomes: a generous deadline is served; an already-expired one
+//!    still serves an answer-memo hit (hits resolve inside `submit`), but a
+//!    target that has to queue is shed at drain time without spending any
+//!    solver work;
 //! 6. a **profiled wave** — the same targets re-requested with
 //!    `LocalizeOptions::with_profiling()`: every served estimate carries a
 //!    per-stage `StageProfile` (queue wait, evidence sources, solver
@@ -34,7 +36,7 @@
 //! Run with `cargo run --release --example geolocation_service` (pass
 //! `--smoke` for a reduced problem size, as CI does).
 
-use octant::{Geolocator, Octant, OctantConfig, RouterLocalization};
+use octant::{Geolocator, Octant, OctantConfig, RouterLocalization, SourceId};
 use octant_bench::service_campaign;
 use octant_service::{
     GeolocationService, LocalizeOptions, RouterCacheConfig, ServeOutcome, ServiceConfig,
@@ -149,8 +151,11 @@ fn main() {
     println!("# parity          : served estimates bit-identical to uncached Recursive ({checks} targets checked)");
 
     // ---- Wave 4: SLOs — deadlines resolve to typed outcomes -----------------
-    // A generous deadline serves normally; an already-expired one is shed at
-    // drain time (ServeOutcome::DeadlineExceeded) without any solver work.
+    // A generous deadline serves normally. An already-expired one sheds a
+    // target that has to queue — here, one whose evidence selection has no
+    // memo entry yet — at drain time (ServeOutcome::DeadlineExceeded)
+    // without any solver work, while a memo hit resolves inside `submit`,
+    // before any deadline can pass.
     let on_time = service.localize_blocking_with_options(
         &campaign.targets[..1],
         LocalizeOptions::default().with_deadline(Duration::from_secs(60)),
@@ -158,7 +163,9 @@ fn main() {
     let served_before = service.stats().counters.targets_served;
     let expired = service.localize_blocking_with_options(
         &campaign.targets[..1],
-        LocalizeOptions::default().with_deadline(Duration::ZERO),
+        LocalizeOptions::default()
+            .without_source(SourceId::Hint)
+            .with_deadline(Duration::ZERO),
     );
     assert!(on_time[0].is_served());
     assert!(matches!(expired[0], ServeOutcome::DeadlineExceeded));
@@ -167,8 +174,13 @@ fn main() {
         served_before,
         "an expired target is never solved"
     );
+    let hit = service.localize_blocking_with_options(
+        &campaign.targets[..1],
+        LocalizeOptions::default().with_deadline(Duration::ZERO),
+    );
+    assert!(hit[0].is_served(), "a memo hit cannot miss its deadline");
     println!(
-        "# wave 4 (SLO)    : 60s deadline served on epoch {}, 0s deadline shed unsolved ({} deadline-expired total)",
+        "# wave 4 (SLO)    : 60s deadline served on epoch {}, 0s deadline shed unsolved ({} deadline-expired total), 0s deadline memo hit served",
         on_time[0].served().expect("generous deadline").epoch,
         service.stats().counters.deadline_expired
     );

@@ -29,7 +29,8 @@ fn octant_beats_every_baseline_on_median_error() {
     // Octant is not marginally but substantially better than GeoLim and
     // GeoPing. (GeoTrack is stronger on the simulated substrate than it was
     // on 2007 PlanetLab because synthetic router names are cleaner than real
-    // ones — see EXPERIMENTS.md — so it is only required to be functional.)
+    // ones — compare the GeoTrack row of the figure3 binary's summary — so
+    // it is only required to be functional.)
     for (name, other) in [("GeoLim", &geolim), ("GeoPing", &geoping)] {
         assert!(
             o < other.median_miles(),
@@ -67,9 +68,10 @@ fn octant_region_hit_rate_stays_high_and_beats_geolim_at_full_landmark_count() {
     let octant_hit = region_hit_rate(&octant.outcomes);
     let geolim_hit = region_hit_rate(&geolim.outcomes);
     // On the simulated substrate Octant's aggressively-derived constraints
-    // miss the true position more often than on 2007 PlanetLab (see
-    // EXPERIMENTS.md); require a meaningful hit rate and that the region
-    // machinery is functional, rather than the paper's ~90%.
+    // miss the true position more often than on 2007 PlanetLab (the figure3
+    // binary's summary table prints the hit rates); require a meaningful hit
+    // rate and that the region machinery is functional, rather than the
+    // paper's ~90%.
     assert!(octant_hit >= 0.2, "Octant hit rate {octant_hit:.2}");
     assert!(geolim_hit > 0.0, "GeoLim hit rate {geolim_hit:.2}");
 }
@@ -88,7 +90,7 @@ fn figure4_shape_octant_does_not_degrade_with_more_landmarks_as_much_as_geolim()
     // The property preserved from Figure 4 on the simulated substrate: Octant
     // keeps producing usable regions at every landmark count and does not
     // collapse as landmarks are added (the paper's headline); absolute hit
-    // rates differ from 2007 PlanetLab — see EXPERIMENTS.md.
+    // rates differ from 2007 PlanetLab — the figure4 binary prints them.
     assert!(octant_few >= 0.2, "Octant at 10 landmarks: {octant_few:.2}");
     assert!(
         octant_many >= 0.2,
